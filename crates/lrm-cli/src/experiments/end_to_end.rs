@@ -13,7 +13,7 @@
 //!    the ratio); the *shape* — lightweight codecs beat the baseline,
 //!    inline PCA erases the gain, staging wins outright — must hold.
 //!
-//! A third piece, [`staging_demo`], actually runs the crossbeam staging
+//! A third piece, [`staging_demo`], actually runs the threaded staging
 //! pipeline and reports how little the application blocked.
 
 use lrm_core::{Pipeline, PipelineConfig, ReducedModelKind};

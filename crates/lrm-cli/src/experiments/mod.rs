@@ -1,8 +1,8 @@
 //! Experiment drivers, one module per paper artifact.
 //!
 //! Every table and figure of the paper's evaluation has a function here
-//! that regenerates it; the CLI (`lrm-cli`), the integration tests, and
-//! the Criterion benches all call these same drivers.
+//! that regenerates it; the CLI (`lrm-cli`) and the integration tests
+//! both call these same drivers.
 //!
 //! | Paper artifact | Driver |
 //! |---|---|
@@ -15,8 +15,13 @@
 //! | Fig. 8 | [`dimred::fig8`] |
 //! | Fig. 11 | [`rate_distortion::fig11`] |
 //! | Fig. 12 | [`overhead::fig12`] |
+//! | Table III | [`ablation::table3`] |
 //! | Table IV | [`end_to_end::table4_modeled`] / [`end_to_end::table4_measured`] |
+//!
+//! [`ablation::partitioned`] and [`ablation::wavelet3d`] measure the
+//! extensions beyond the paper.
 
+pub mod ablation;
 pub mod characteristics;
 pub mod dimred;
 pub mod end_to_end;

@@ -1,10 +1,9 @@
 //! Experiment library behind the `lrm-cli` binary.
 //!
 //! [`experiments`] holds one driver per table/figure of the paper;
-//! [`table`] renders their outputs as aligned text tables. The Criterion
-//! benches in `crates/bench` and the workspace integration tests reuse
-//! these drivers so that "what the CLI prints", "what the benches
-//! measure" and "what the tests assert" are the same code path.
+//! [`table`] renders their outputs as aligned text tables. The workspace
+//! integration tests reuse these drivers so that "what the CLI prints"
+//! and "what the tests assert" are the same code path.
 
 pub mod experiments;
 pub mod service;

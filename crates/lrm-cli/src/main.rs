@@ -5,14 +5,15 @@
 //!                      [--threads N] [--chunks N]
 //!
 //! experiments:
-//!   fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4
+//!   fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table3 table4
 //!   select   (the model-selection extension)
+//!   partitioned wavelet3d   (ablations of the extensions)
 //!   chunked  (chunk-parallel engine: per-chunk and aggregate ratios)
 //!   all      (everything, in paper order)
 //! ```
 
 use lrm_cli::experiments::{
-    characteristics, dimred, end_to_end, overhead, projection, rate_distortion,
+    ablation, characteristics, dimred, end_to_end, overhead, projection, rate_distortion,
 };
 use lrm_cli::table::{f, render};
 use lrm_datasets::SizeClass;
@@ -94,7 +95,7 @@ fn parse_args() -> Args {
 fn print_help() {
     println!(
         "lrm-cli <experiment> [--size tiny|small|paper] [--outputs N] [--procs N] [--threads N] [--chunks N]\n\
-         experiments: fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4 select chunked dist temporal verify all\n\
+         experiments: fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table3 table4 select chunked dist temporal verify partitioned wavelet3d all\n\
          bench: run the lrm-bench throughput harness at the chosen --size\n\
          serve: run the compression service (lrm-cli serve --help-style flags: --addr --threads --max-inflight)\n\
          client: talk to a running service (lrm-cli client <ping|compress|decompress|stats|select|roundtrip|shutdown>)"
@@ -345,6 +346,82 @@ fn run_fig12(size: SizeClass) {
                 "x vs ZFP",
                 "decompress (s)",
                 "x vs ZFP"
+            ],
+            &rows
+        )
+    );
+}
+
+fn run_table3(size: SizeClass) {
+    println!("== Table III: fit time vs column count n ==");
+    let rows: Vec<Vec<String>> = ablation::table3(size)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.m.to_string(),
+                r.n.to_string(),
+                f(r.pca_s * 1e3),
+                f(r.svd_s * 1e3),
+                f(r.wavelet_s * 1e3),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(
+            &["m", "n", "PCA fit (ms)", "SVD (ms)", "Wavelet fit (ms)"],
+            &rows
+        )
+    );
+}
+
+fn run_partitioned(size: SizeClass) {
+    println!("== Partitioned PCA/SVD and randomized SVD (SZ, 1-D scan) ==");
+    let rows: Vec<Vec<String>> = ablation::partitioned(size)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.dataset.to_string(),
+                r.method.to_string(),
+                r.blocks.map_or_else(|| "-".into(), |b| b.to_string()),
+                f(r.ratio),
+                f(r.seconds),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(&["dataset", "method", "blocks", "ratio", "time (s)"], &rows)
+    );
+}
+
+fn run_wavelet3d(size: SizeClass) {
+    println!("== Wavelet 2-D (paper) vs 3-D (extension) on volumetric data ==");
+    let rows: Vec<Vec<String>> = ablation::wavelet3d(size)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.dataset.to_string(),
+                r.nnz_2d.to_string(),
+                r.nnz_3d.to_string(),
+                r.bytes_2d.to_string(),
+                r.bytes_3d.to_string(),
+                f(r.rmse_2d),
+                f(r.rmse_3d),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render(
+            &[
+                "dataset",
+                "nnz(2D)",
+                "nnz(3D)",
+                "bytes(2D)",
+                "bytes(3D)",
+                "rmse(2D)",
+                "rmse(3D)"
             ],
             &rows
         )
@@ -675,12 +752,15 @@ fn main() {
         }
         "fig11" => run_fig11(args.size),
         "fig12" => run_fig12(args.size),
+        "table3" => run_table3(args.size),
         "table4" => run_table4(args.size, args.procs),
         "select" => run_select(args.size),
         "chunked" => run_chunked(args.size, args.threads, args.chunks),
         "dist" => run_dist(args.size),
         "verify" => run_verify(args.size),
         "temporal" => run_temporal(args.size, args.outputs),
+        "partitioned" => run_partitioned(args.size),
+        "wavelet3d" => run_wavelet3d(args.size),
         "bench" => run_bench(args.size),
         other => {
             eprintln!("unknown experiment {other:?}");
@@ -690,8 +770,26 @@ fn main() {
     };
     if args.experiment == "all" {
         for name in [
-            "fig1", "table2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "table4", "select", "chunked", "dist", "temporal", "verify",
+            "fig1",
+            "table2",
+            "fig3",
+            "fig4",
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "table3",
+            "table4",
+            "select",
+            "chunked",
+            "dist",
+            "temporal",
+            "verify",
+            "partitioned",
+            "wavelet3d",
         ] {
             run(name);
         }

@@ -25,8 +25,7 @@
 //!   bytes are **identical for any thread count**.
 //! * `chunks(1)` (or a field below [`PipelineBuilder::min_chunk_len`],
 //!   or a non-3-D field) takes the serial path and emits exactly the
-//!   version-0 single-chunk artifact stream — byte-for-byte what the
-//!   deprecated free functions produce.
+//!   version-0 single-chunk artifact stream.
 //!
 //! ```
 //! use lrm_core::{LossyCodec, Pipeline, ReducedModelKind};
@@ -203,8 +202,7 @@ impl Pipeline {
         PipelineBuilder::default()
     }
 
-    /// A serial pipeline over an existing [`PipelineConfig`] — the
-    /// one-line migration path from the deprecated free functions.
+    /// A serial pipeline over an existing [`PipelineConfig`].
     pub fn from_config(cfg: PipelineConfig) -> Pipeline {
         PipelineBuilder::from_config(cfg).build()
     }

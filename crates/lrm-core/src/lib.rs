@@ -42,8 +42,6 @@ pub use codec::{fpc_paper, fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, L
 pub use engine::{ChunkReport, ChunkedCompression, Pipeline, PipelineBuilder};
 pub use lrm_compress::{DecodeError, DecodeResult};
 pub use partitioned::{partitioned_precondition, partitioned_reconstruct, PartitionedMethod};
-#[allow(deprecated)]
-pub use pipeline::{precondition_and_compress, precondition_and_compress_with_aux, reconstruct};
 pub use pipeline::{CompressionReport, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
 pub use selection::{
     default_candidates, select_best_model, select_best_model_with, CandidateResult,

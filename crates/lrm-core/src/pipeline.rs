@@ -11,9 +11,8 @@
 //! the model kind, codecs, and shapes.
 //!
 //! The public entry point is [`crate::Pipeline`] (builder-style, with
-//! chunk-parallel execution); the free functions here
-//! ([`precondition_and_compress`], [`reconstruct`]) are the original
-//! single-shot API, kept as deprecated shims over the same internals.
+//! chunk-parallel execution); this module holds the single-chunk
+//! internals it runs per slab.
 
 use crate::codec::LossyCodec;
 use crate::dimred::{
@@ -188,28 +187,12 @@ pub(crate) fn model_tag(model: ReducedModelKind) -> (u8, u32) {
     }
 }
 
-/// Preconditions and compresses `field` (Fig. 5's reduction phase).
+/// Preconditions and compresses `field` as one chunk (Fig. 5's
+/// reduction phase).
 ///
 /// # Panics
-/// Panics if `cfg.model` is [`ReducedModelKind::DuoModel`] — that model
-/// needs the coarse companion run; use
-/// [`precondition_and_compress_with_aux`].
-#[deprecated(since = "0.2.0", note = "use lrm_core::Pipeline::builder()")]
-pub fn precondition_and_compress(field: &Field, cfg: &PipelineConfig) -> PreconditionedArtifact {
-    precondition_impl(field, None, cfg)
-}
-
-/// Like [`precondition_and_compress`], supplying the auxiliary coarse
-/// field DuoModel requires.
-#[deprecated(since = "0.2.0", note = "use lrm_core::Pipeline::builder()")]
-pub fn precondition_and_compress_with_aux(
-    field: &Field,
-    coarse: &Field,
-    cfg: &PipelineConfig,
-) -> PreconditionedArtifact {
-    precondition_impl(field, Some(coarse), cfg)
-}
-
+/// Panics if `cfg.model` is [`ReducedModelKind::DuoModel`] and `coarse`
+/// is `None`.
 pub(crate) fn precondition_impl(
     field: &Field,
     coarse: Option<&Field>,
@@ -227,8 +210,8 @@ pub(crate) fn precondition_impl(
             (out.rep_bytes, out.delta, out.rep_shape, 0)
         }
         ReducedModelKind::DuoModel => {
-            let c = coarse
-                .expect("DuoModel needs the coarse field: use precondition_and_compress_with_aux");
+            let c =
+                coarse.expect("DuoModel needs the coarse field: use Pipeline::compress_with_aux");
             let out = duo_model_precondition(field, c, &cfg.orig);
             (out.rep_bytes, out.delta, c.shape, 0)
         }
@@ -313,18 +296,8 @@ pub(crate) fn precondition_impl(
     }
 }
 
-/// Reconstructs the field from artifact bytes (Fig. 5's reconstruction
+/// Reconstructs one single-chunk artifact (Fig. 5's reconstruction
 /// phase). Returns the data and its shape.
-///
-/// # Panics
-/// Panics on a corrupt artifact. New code should use
-/// [`crate::Pipeline::reconstruct`], which reports corruption as a
-/// [`DecodeError`] instead.
-#[deprecated(since = "0.2.0", note = "use lrm_core::Pipeline::builder()")]
-pub fn reconstruct(bytes: &[u8]) -> (Vec<f64>, Shape) {
-    reconstruct_impl(bytes).expect("reconstruct: corrupt artifact")
-}
-
 pub(crate) fn reconstruct_impl(bytes: &[u8]) -> DecodeResult<(Vec<f64>, Shape)> {
     let artifact = Artifact::from_bytes(bytes)?;
     let meta = decode_meta(artifact.get(META).ok_or(DecodeError::Corrupt {
@@ -368,10 +341,19 @@ pub(crate) fn reconstruct_impl(bytes: &[u8]) -> DecodeResult<(Vec<f64>, Shape)> 
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the deprecated single-shot API on purpose: it
-    // must keep behaving identically to the builder path.
-    #![allow(deprecated)]
     use super::*;
+    use crate::Pipeline;
+
+    fn compress(field: &Field, cfg: &PipelineConfig) -> PreconditionedArtifact {
+        Pipeline::from_config(*cfg).compress(field)
+    }
+
+    fn reconstruct(bytes: &[u8]) -> (Vec<f64>, Shape) {
+        Pipeline::builder()
+            .build()
+            .reconstruct(bytes)
+            .expect("valid artifact")
+    }
 
     fn smooth_3d_field(n: usize) -> Field {
         let shape = Shape::d3(n, n, n);
@@ -392,7 +374,7 @@ mod tests {
     }
 
     fn check_roundtrip(field: &Field, cfg: &PipelineConfig, tol_rel: f64) {
-        let art = precondition_and_compress(field, cfg);
+        let art = compress(field, cfg);
         let (rec, shape) = reconstruct(&art.bytes);
         assert_eq!(shape, field.shape);
         assert_eq!(rec.len(), field.len());
@@ -448,7 +430,7 @@ mod tests {
         }
         let coarse = Field::new("coarse", cdata, cshape);
         let cfg = PipelineConfig::sz(ReducedModelKind::DuoModel);
-        let art = precondition_and_compress_with_aux(&f, &coarse, &cfg);
+        let art = Pipeline::from_config(cfg).compress_with_aux(&f, &coarse);
         let (rec, _) = reconstruct(&art.bytes);
         let max = f.data.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         for (a, b) in f.data.iter().zip(&rec) {
@@ -460,15 +442,15 @@ mod tests {
     #[should_panic(expected = "DuoModel needs the coarse field")]
     fn duo_model_without_aux_panics() {
         let f = smooth_3d_field(8);
-        precondition_and_compress(&f, &PipelineConfig::sz(ReducedModelKind::DuoModel));
+        compress(&f, &PipelineConfig::sz(ReducedModelKind::DuoModel));
     }
 
     #[test]
     fn one_base_beats_direct_on_z_symmetric_data() {
         // The headline claim of Fig. 3 at unit-test scale.
         let f = smooth_3d_field(16);
-        let direct = precondition_and_compress(&f, &PipelineConfig::sz(ReducedModelKind::Direct));
-        let onebase = precondition_and_compress(&f, &PipelineConfig::sz(ReducedModelKind::OneBase));
+        let direct = compress(&f, &PipelineConfig::sz(ReducedModelKind::Direct));
+        let onebase = compress(&f, &PipelineConfig::sz(ReducedModelKind::OneBase));
         assert!(
             onebase.report.ratio() > direct.report.ratio(),
             "one-base {} vs direct {}",
@@ -480,7 +462,7 @@ mod tests {
     #[test]
     fn report_accounts_sizes() {
         let f = smooth_3d_field(8);
-        let art = precondition_and_compress(&f, &PipelineConfig::sz(ReducedModelKind::OneBase));
+        let art = compress(&f, &PipelineConfig::sz(ReducedModelKind::OneBase));
         let r = &art.report;
         assert_eq!(r.raw_bytes, 8 * 8 * 8 * 8);
         assert!(r.rep_bytes > 0 && r.delta_bytes > 0);
@@ -496,7 +478,7 @@ mod tests {
             PipelineConfig::sz(ReducedModelKind::Pca),
             PipelineConfig::zfp(ReducedModelKind::MultiBase(2)),
         ] {
-            let art = precondition_and_compress(&f, &cfg);
+            let art = compress(&f, &cfg);
             let (rec, shape) = reconstruct(&art.bytes);
             assert_eq!(shape, f.shape);
             assert_eq!(rec.len(), f.len());
@@ -507,7 +489,7 @@ mod tests {
     fn direct_mode_matches_raw_codec() {
         let f = smooth_3d_field(8);
         let cfg = PipelineConfig::sz(ReducedModelKind::Direct);
-        let art = precondition_and_compress(&f, &cfg);
+        let art = compress(&f, &cfg);
         let direct = cfg.orig.compress(&f.data, f.shape);
         // Same codec, same bound: the delta section IS the direct stream.
         assert_eq!(art.report.delta_bytes, direct.len());

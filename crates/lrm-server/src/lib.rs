@@ -2,13 +2,12 @@
 //!
 //! The crate has four layers:
 //!
-//! * [`protocol`] — the framed wire protocol (LRMP), additively
-//!   versioned: v1 frames carry a 16-byte header (magic, version, kind,
-//!   payload length); v2 frames extend it to 24 bytes with a `u64`
-//!   request id so many requests can be in flight per connection and
-//!   responses may arrive out of order. v2 also adds chunk-streaming
-//!   kinds (`Begin`/`Chunk`/`End`) so a large field starts compressing
-//!   while its bytes are still arriving. The decoder follows the
+//! * [`protocol`] — the framed wire protocol (LRMP v2): a 24-byte
+//!   header (magic, version, kind, payload length, `u64` request id) so
+//!   many requests can be in flight per connection and responses may
+//!   arrive out of order, plus chunk-streaming kinds
+//!   (`Begin`/`Chunk`/`End`) so a large field starts compressing while
+//!   its bytes are still arriving. The decoder follows the
 //!   workspace's hardened decode-path contract and is registered in
 //!   `lint.toml`.
 //! * [`poll`] — a zero-dependency readiness shim over the platform's
@@ -25,8 +24,7 @@
 //! * [`client`] — a session-based [`Connection`] holding one socket
 //!   across many requests (`send` → [`RequestHandle`] → `wait`, or a
 //!   blocking `call`), used by `lrm-cli client`, the loopback tests,
-//!   and the `serve` bench rows. The connect-per-request [`Client`]
-//!   remains as a deprecated shim.
+//!   and the `serve` bench rows.
 //!
 //! The server is a consumer of every workspace layer: `lrm-compress`
 //! codecs, the `lrm-core` pipeline and model selector, `lrm-io`
@@ -39,12 +37,10 @@ pub mod poll;
 pub mod protocol;
 pub mod server;
 
-#[allow(deprecated)]
-pub use client::Client;
 pub use client::{ClientError, ClientResult, Connection, RequestHandle};
 pub use lrm_compress::{DecodeError, DecodeResult, Shape};
 pub use protocol::{
     CompressRequest, CompressStreamMeta, FieldStatsReply, Frame, FrameHeader, Request, Response,
-    SelectReply, SelectRequest, ServerErrorKind, TrialReport, WireReport, PROTOCOL_V1, PROTOCOL_V2,
+    SelectReply, SelectRequest, ServerErrorKind, TrialReport, WireReport, PROTOCOL_V2,
 };
 pub use server::{Server, ServerBuilder, ServerConfig, ServerStats};

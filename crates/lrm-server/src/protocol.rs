@@ -1,32 +1,32 @@
 //! The framed wire protocol spoken by `lrm-server` (LRMP).
 //!
-//! Every message — request or response — travels as one **frame**. Two
-//! header layouts are live; the version field at offset 4 selects one:
+//! Every message — request or response — travels as one **frame** with
+//! a 24-byte header:
 //!
-//! | offset | size | v1 field | v2 field |
-//! |-------:|-----:|----------|----------|
-//! | 0      | 4    | magic `"LRMP"` | magic `"LRMP"` |
-//! | 4      | 2    | version `1`, `u16` LE | version `2`, `u16` LE |
-//! | 6      | 1    | message kind | message kind |
-//! | 7      | 1    | reserved (`0`) | reserved (`0`) |
-//! | 8      | 8    | payload length, `u64` LE | payload length, `u64` LE |
-//! | 16     | 8    | — payload starts | request id, `u64` LE |
-//! | 24     | —    | | payload |
+//! | offset | size | field |
+//! |-------:|-----:|-------|
+//! | 0      | 4    | magic `"LRMP"` |
+//! | 4      | 2    | version `2`, `u16` LE |
+//! | 6      | 1    | message kind |
+//! | 7      | 1    | reserved (`0`) |
+//! | 8      | 8    | payload length, `u64` LE |
+//! | 16     | 8    | request id, `u64` LE |
+//! | 24     | —    | payload |
 //!
-//! v2 is a strict additive extension: the only layout change is the
-//! request id between the fixed header and the payload, and every v1
-//! payload decodes unchanged under v2 framing. The request id lets a
-//! client pipeline many requests over one persistent connection — the
-//! server tags each response frame with the id of the request it
-//! answers, and responses may arrive **out of order**. v1 frames carry
-//! an implicit id of `0` and keep their one-request-per-connection
-//! semantics (the server closes the connection after answering), so
-//! existing v1 tooling keeps working against a v2 server.
+//! The request id lets a client pipeline many requests over one
+//! persistent connection — the server tags each response frame with the
+//! id of the request it answers, and responses may arrive **out of
+//! order**. Id `0` is reserved for connection-level replies: a frame the
+//! server sends before it knows any request id (a refused connection, an
+//! unparseable header), after which it closes the connection. Clients
+//! never issue id `0`. Any other version — including the retired
+//! 16-byte version 1 — is rejected with
+//! [`DecodeError::UnsupportedVersion`].
 //!
 //! Request kinds occupy `0x00..0x80`, success responses `0x80..0xE0`,
 //! and typed error responses `0xE0..`. The payload layout per kind is
 //! documented on [`Request`] and [`Response`]. The `0x06..0x0A` request
-//! kinds are the v2 chunk-streaming family: a `CompressStreamBegin` (or
+//! kinds are the chunk-streaming family: a `CompressStreamBegin` (or
 //! `DecompressStreamBegin`) frame opens a stream under its request id,
 //! any number of `StreamChunk` frames append bytes to it, and
 //! `StreamEnd` closes it; the server starts compressing completed
@@ -46,19 +46,12 @@ use lrm_core::{CompressionReport, LossyCodec, ReducedModelKind};
 /// Magic bytes opening every frame.
 pub const MAGIC: &[u8; 4] = b"LRMP";
 
-/// The original protocol version: 16-byte header, no request id, one
-/// request per connection.
-pub const PROTOCOL_V1: u16 = 1;
-
-/// The pipelined protocol version: 24-byte header whose last 8 bytes
-/// are a `u64` LE request id. Decoders accept v1 and v2 and reject
-/// anything else rather than guessing at the layout.
+/// The protocol version: 24-byte header whose last 8 bytes are a `u64`
+/// LE request id. Decoders reject every other version rather than
+/// guessing at the layout.
 pub const PROTOCOL_V2: u16 = 2;
 
-/// Bytes before the payload starts in a v1 frame.
-pub const HEADER_LEN: usize = 16;
-
-/// Bytes before the payload starts in a v2 frame (v1 header + id).
+/// Bytes before the payload starts in a frame.
 pub const HEADER_V2_LEN: usize = 24;
 
 /// Request kinds (`0x00..0x80`).
@@ -108,60 +101,31 @@ pub const RESP_ERR_MALFORMED: u8 = 0xE3;
 /// The request decoded but execution failed.
 pub const RESP_ERR_INTERNAL: u8 = 0xE4;
 
-/// A parsed frame header, version-agnostic: v1 headers surface with
-/// `request_id == 0`.
+/// A parsed frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Wire version of the frame ([`PROTOCOL_V1`] or [`PROTOCOL_V2`]).
-    pub version: u16,
     /// Message kind byte.
     pub kind: u8,
-    /// Request id tagging the frame (implicit `0` for v1 frames).
+    /// Request id tagging the frame (`0` for a connection-level reply).
     pub request_id: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
 }
 
-impl FrameHeader {
-    /// Header size in bytes for this frame's version.
-    pub fn header_len(&self) -> usize {
-        if self.version == PROTOCOL_V2 {
-            HEADER_V2_LEN
-        } else {
-            HEADER_LEN
-        }
-    }
-}
-
-/// One decoded frame: version, kind, request id, raw payload.
+/// One decoded frame: kind, request id, raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Wire version the frame arrived under.
-    pub version: u16,
     /// Message kind byte (one of the `REQ_*`/`RESP_*` constants once
     /// interpreted; raw here).
     pub kind: u8,
-    /// Request id (implicit `0` for v1 frames).
+    /// Request id (`0` for a connection-level reply).
     pub request_id: u64,
     /// Payload bytes, exactly as framed.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Serializes a v1 frame: 16-byte header + payload.
-    pub fn encode(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&PROTOCOL_V1.to_le_bytes());
-        out.push(kind);
-        out.push(0);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
-    /// Serializes a v2 frame: 24-byte header (with request id) +
-    /// payload.
+    /// Serializes a frame: 24-byte header (with request id) + payload.
     pub fn encode_v2(kind: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_V2_LEN + payload.len());
         out.extend_from_slice(MAGIC);
@@ -175,8 +139,7 @@ impl Frame {
     }
 
     /// Incremental header parse for the streaming socket reader:
-    /// `Ok(Some(header))` once the full (version-dependent) header is
-    /// present, `Ok(None)` when `b` is a consistent prefix that needs
+    /// `Ok(Some(header))` once the full header is present, `Ok(None)` when `b` is a consistent prefix that needs
     /// more bytes, and a typed [`DecodeError`] the moment the bytes can
     /// no longer open a valid frame. Validates eagerly, so garbage is
     /// rejected after as few bytes as possible.
@@ -194,7 +157,7 @@ impl Frame {
         else {
             return Ok(None);
         };
-        if version != PROTOCOL_V1 && version != PROTOCOL_V2 {
+        if version != PROTOCOL_V2 {
             return Err(DecodeError::UnsupportedVersion {
                 found: version.min(u8::MAX as u16) as u8,
                 supported: PROTOCOL_V2 as u8,
@@ -207,12 +170,7 @@ impl Frame {
                 });
             }
         }
-        let need = if version == PROTOCOL_V2 {
-            HEADER_V2_LEN
-        } else {
-            HEADER_LEN
-        };
-        if b.len() < need {
+        if b.len() < HEADER_V2_LEN {
             return Ok(None);
         }
         let kind = *b
@@ -225,25 +183,21 @@ impl Frame {
             .ok_or(DecodeError::Truncated {
                 what: "frame length",
             })?;
-        let request_id = if version == PROTOCOL_V2 {
-            b.get(16..24)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or(DecodeError::Truncated {
-                    what: "frame request id",
-                })?
-        } else {
-            0
-        };
+        let request_id = b
+            .get(16..24)
+            .and_then(|s| s.try_into().ok())
+            .map(u64::from_le_bytes)
+            .ok_or(DecodeError::Truncated {
+                what: "frame request id",
+            })?;
         Ok(Some(FrameHeader {
-            version,
             kind,
             request_id,
             payload_len,
         }))
     }
 
-    /// Parses the fixed header of an exact buffer, either version.
+    /// Parses the fixed header of an exact buffer.
     /// Truncation is a typed error (unlike [`Frame::parse_header_prefix`],
     /// which reports it as "need more bytes").
     pub fn parse_header(b: &[u8]) -> DecodeResult<FrameHeader> {
@@ -255,30 +209,24 @@ impl Frame {
     /// Parses one complete frame from an exact byte buffer: header,
     /// payload, and nothing after it. Every structural defect — bad
     /// magic, unknown version, truncation, trailing bytes — is a typed
-    /// [`DecodeError`]; this never panics. Accepts v1 and v2 framing.
+    /// [`DecodeError`]; this never panics.
     pub fn from_bytes(b: &[u8]) -> DecodeResult<Frame> {
         let header = Frame::parse_header(b)?;
         let len = usize::try_from(header.payload_len).map_err(|_| DecodeError::Corrupt {
             what: "frame length exceeds address space",
         })?;
-        let total = header
-            .header_len()
-            .checked_add(len)
-            .ok_or(DecodeError::Corrupt {
-                what: "frame length overflow",
-            })?;
-        let payload = b
-            .get(header.header_len()..total)
-            .ok_or(DecodeError::Truncated {
-                what: "frame payload",
-            })?;
+        let total = HEADER_V2_LEN.checked_add(len).ok_or(DecodeError::Corrupt {
+            what: "frame length overflow",
+        })?;
+        let payload = b.get(HEADER_V2_LEN..total).ok_or(DecodeError::Truncated {
+            what: "frame payload",
+        })?;
         if b.len() != total {
             return Err(DecodeError::Corrupt {
                 what: "frame trailing bytes",
             });
         }
         Ok(Frame {
-            version: header.version,
             kind: header.kind,
             request_id: header.request_id,
             payload: payload.to_vec(),
@@ -563,7 +511,7 @@ pub enum Request {
     /// Drain in-flight requests and stop the server. Empty payload.
     Shutdown,
     /// Open a chunk-streamed compress under this frame's request id
-    /// (v2 only; see [`CompressStreamMeta`]).
+    /// (see [`CompressStreamMeta`]).
     CompressStreamBegin(CompressStreamMeta),
     /// Append raw bytes to the open stream with this frame's request
     /// id: field samples (LE `f64` bytes) for a compress stream,
@@ -645,12 +593,7 @@ impl Request {
         out
     }
 
-    /// Serializes into one complete v1 frame (implicit request id 0).
-    pub fn to_frame(&self) -> Vec<u8> {
-        Frame::encode(self.kind(), &self.encode_payload())
-    }
-
-    /// Serializes into one complete v2 frame tagged with `request_id`.
+    /// Serializes into one complete frame tagged with `request_id`.
     pub fn to_frame_v2(&self, request_id: u64) -> Vec<u8> {
         Frame::encode_v2(self.kind(), request_id, &self.encode_payload())
     }
@@ -964,12 +907,7 @@ impl Response {
         out
     }
 
-    /// Serializes into one complete v1 frame (implicit request id 0).
-    pub fn to_frame(&self) -> Vec<u8> {
-        Frame::encode(self.kind(), &self.encode_payload())
-    }
-
-    /// Serializes into one complete v2 frame tagged with `request_id`.
+    /// Serializes into one complete frame tagged with `request_id`.
     pub fn to_frame_v2(&self, request_id: u64) -> Vec<u8> {
         Frame::encode_v2(self.kind(), request_id, &self.encode_payload())
     }
@@ -1078,20 +1016,9 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrips() {
-        let bytes = Frame::encode(REQ_PING, b"hello");
-        let f = Frame::from_bytes(&bytes).expect("frame");
-        assert_eq!(f.version, PROTOCOL_V1);
-        assert_eq!(f.kind, REQ_PING);
-        assert_eq!(f.request_id, 0);
-        assert_eq!(f.payload, b"hello");
-    }
-
-    #[test]
     fn v2_frame_roundtrips_with_request_id() {
         let bytes = Frame::encode_v2(REQ_PING, 0xDEAD_BEEF_0042, b"hello");
         let f = Frame::from_bytes(&bytes).expect("frame");
-        assert_eq!(f.version, PROTOCOL_V2);
         assert_eq!(f.kind, REQ_PING);
         assert_eq!(f.request_id, 0xDEAD_BEEF_0042);
         assert_eq!(f.payload, b"hello");
@@ -1111,29 +1038,21 @@ mod tests {
         let header = Frame::parse_header_prefix(&bytes[..HEADER_V2_LEN])
             .expect("header")
             .expect("complete");
-        assert_eq!(header.version, PROTOCOL_V2);
         assert_eq!(header.kind, REQ_STREAM_CHUNK);
         assert_eq!(header.request_id, 7);
         assert_eq!(header.payload_len, 3);
-        assert_eq!(header.header_len(), HEADER_V2_LEN);
-
-        // A v1 header completes at 16 bytes with the implicit id.
-        let v1 = Frame::encode(REQ_PING, b"x");
-        let header = Frame::parse_header_prefix(&v1[..HEADER_LEN])
-            .expect("header")
-            .expect("complete");
-        assert_eq!(header.version, PROTOCOL_V1);
-        assert_eq!(header.request_id, 0);
-        assert_eq!(header.header_len(), HEADER_LEN);
 
         // Bad magic is rejected from the very first divergent byte.
         assert!(Frame::parse_header_prefix(b"X").is_err());
         assert!(Frame::parse_header_prefix(b"LRMX").is_err());
-        // An unknown version is rejected as soon as it is visible.
-        assert!(matches!(
-            Frame::parse_header_prefix(&[b'L', b'R', b'M', b'P', 9, 0]),
-            Err(DecodeError::UnsupportedVersion { .. })
-        ));
+        // An unknown version is rejected as soon as it is visible, and
+        // the retired version 1 is just another unknown version.
+        for version in [9u8, 1] {
+            assert!(matches!(
+                Frame::parse_header_prefix(&[b'L', b'R', b'M', b'P', version, 0]),
+                Err(DecodeError::UnsupportedVersion { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1173,12 +1092,7 @@ mod tests {
             Request::DecompressStreamBegin,
         ];
         for req in requests {
-            // v1 framing (implicit id 0)…
-            let frame = Frame::from_bytes(&req.to_frame()).expect("frame");
-            let back = Request::decode(frame.kind, &frame.payload).expect("request");
-            assert_eq!(req, back);
-            // …and v2 framing with a pipelined request id.
-            let frame = Frame::from_bytes(&req.to_frame_v2(31)).expect("v2 frame");
+            let frame = Frame::from_bytes(&req.to_frame_v2(31)).expect("frame");
             assert_eq!(frame.request_id, 31);
             let back = Request::decode(frame.kind, &frame.payload).expect("request");
             assert_eq!(req, back);
@@ -1232,10 +1146,7 @@ mod tests {
             },
         ];
         for resp in responses {
-            let frame = Frame::from_bytes(&resp.to_frame()).expect("frame");
-            let back = Response::decode(frame.kind, &frame.payload).expect("response");
-            assert_eq!(resp, back);
-            let frame = Frame::from_bytes(&resp.to_frame_v2(99)).expect("v2 frame");
+            let frame = Frame::from_bytes(&resp.to_frame_v2(99)).expect("frame");
             assert_eq!(frame.request_id, 99);
             let back = Response::decode(frame.kind, &frame.payload).expect("response");
             assert_eq!(resp, back);
@@ -1250,7 +1161,7 @@ mod tests {
             shape: Shape::d1(3),
             data: vec![f64::NAN, -0.0, f64::INFINITY],
         };
-        let frame = Frame::from_bytes(&req.to_frame()).expect("frame");
+        let frame = Frame::from_bytes(&req.to_frame_v2(1)).expect("frame");
         let Request::FieldStats { data, .. } =
             Request::decode(frame.kind, &frame.payload).expect("request")
         else {
@@ -1263,7 +1174,7 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_typed_errors() {
-        let good = sample_compress().to_frame();
+        let good = sample_compress().to_frame_v2(5);
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
@@ -1296,17 +1207,6 @@ mod tests {
         for cut in 0..good.len() {
             assert!(Frame::from_bytes(&good[..cut]).is_err(), "cut {cut}");
         }
-        // The same holds under v2 framing.
-        let good = sample_compress().to_frame_v2(5);
-        for cut in 0..good.len() {
-            assert!(Frame::from_bytes(&good[..cut]).is_err(), "v2 cut {cut}");
-        }
-        let mut bad = good.clone();
-        bad[7] = 0x40;
-        assert!(matches!(
-            Frame::from_bytes(&bad),
-            Err(DecodeError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //!
 //! The loop owns every socket; workers own every piece of codec work;
 //! the completion queue (plus a loopback wake byte) marries them. A
-//! connection stays alive across requests: v2 frames carry a request id,
+//! connection stays alive across requests: frames carry a request id,
 //! many requests may be in flight per connection, and responses are
-//! written in completion order — out of order relative to submission. A
-//! v1 frame keeps its one-request-per-connection contract: the response
-//! is v1-framed and the connection closes after it flushes.
+//! written in completion order — out of order relative to submission.
 //!
 //! Backpressure is explicit, typed, and **per-request**: a
 //! request-starting frame beyond [`ServerConfig::max_inflight`] (global)
@@ -27,8 +25,8 @@
 //! drop), a payload beyond [`ServerConfig::max_payload`] receives
 //! `TooLarge` before the payload is read, and a request that cannot be
 //! read or served within [`ServerConfig::deadline`] receives `Timeout`.
-//! Whole connections are only refused (with a v1 `Busy` frame) beyond
-//! [`ServerConfig::max_connections`].
+//! Whole connections are only refused (with a `Busy` frame under the
+//! connection-level request id `0`) beyond [`ServerConfig::max_connections`].
 //!
 //! Chunk-streamed requests (`Begin`/`Chunk`/`End`) overlap compute with
 //! the upload: each completed z-slab of a streamed compress is
@@ -61,7 +59,7 @@ use lrm_stats::{byte_entropy, bytes_of, Summary};
 use crate::poll::{fd_of, poll, PollFd};
 use crate::protocol::{
     model_to_tag, CompressStreamMeta, FieldStatsReply, Frame, FrameHeader, Request, Response,
-    SelectReply, ServerErrorKind, TrialReport, WireReport, PROTOCOL_V1, REQ_STREAM_CHUNK,
+    SelectReply, ServerErrorKind, TrialReport, WireReport, HEADER_V2_LEN, REQ_STREAM_CHUNK,
     REQ_STREAM_END,
 };
 
@@ -83,7 +81,8 @@ pub struct ServerConfig {
     /// Chunk count used when a compress request leaves it at `0`.
     pub default_chunks: usize,
     /// Maximum simultaneously open connections; beyond this a new
-    /// connection is answered with a v1 `Busy` frame and closed.
+    /// connection is answered with a `Busy` frame (request id `0`) and
+    /// closed.
     pub max_connections: usize,
     /// Maximum in-flight requests a single connection may pipeline;
     /// beyond this a request receives `Busy` while the connection
@@ -290,7 +289,6 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 struct Job {
     conn: u64,
     request_id: u64,
-    v1: bool,
     accepted: Instant,
     work: Work,
 }
@@ -312,7 +310,6 @@ enum Work {
 struct Done {
     conn: u64,
     request_id: u64,
-    v1: bool,
     accepted: Instant,
     result: DoneResult,
 }
@@ -384,7 +381,6 @@ fn worker_loop(shared: &Shared, config: &ServerConfig) {
         let done = Done {
             conn: job.conn,
             request_id: job.request_id,
-            v1: job.v1,
             accepted: job.accepted,
             result,
         };
@@ -917,11 +913,11 @@ impl EventLoop<'_> {
                 Err(e) => {
                     self.queue_response(
                         conn,
-                        true,
                         0,
                         malformed_response(format!("bad frame header: {e}")),
                         true,
                     );
+                    conn.close_after_flush = true;
                     conn.buf.clear();
                     conn.header_started = None;
                     return;
@@ -938,17 +934,16 @@ impl EventLoop<'_> {
     /// admitted frames start counting toward the in-flight limits while
     /// their payload arrives.
     fn admit(&mut self, conn: &mut Conn, header: FrameHeader) {
-        let v1 = header.version == PROTOCOL_V1;
         let id = header.request_id;
         let starting = !matches!(header.kind, REQ_STREAM_CHUNK | REQ_STREAM_END);
         let now = Instant::now();
 
         let refuse = |this: &mut Self, conn: &mut Conn, response: Response, busy: bool| {
-            this.queue_response(conn, v1, id, response, !busy);
+            this.queue_response(conn, id, response, !busy);
             if busy {
                 this.rejected_busy += 1;
             }
-            conn.buf.drain(..header.header_len());
+            conn.buf.drain(..HEADER_V2_LEN);
             conn.discard = header.payload_len;
             conn.header_started = None;
         };
@@ -980,7 +975,7 @@ impl EventLoop<'_> {
                 );
                 return;
             }
-            if !v1 && (conn.live.contains(&id) || conn.aborted.contains(&id)) {
+            if conn.live.contains(&id) || conn.aborted.contains(&id) {
                 refuse(
                     self,
                     conn,
@@ -1003,13 +998,11 @@ impl EventLoop<'_> {
             // An oversized chunk poisons its whole stream.
             if !starting {
                 self.abort_stream_silently(conn, id);
-            } else if v1 {
-                conn.close_after_flush = true;
             }
             return;
         }
 
-        conn.buf.drain(..header.header_len());
+        conn.buf.drain(..HEADER_V2_LEN);
         conn.header_started = None;
         if starting {
             conn.pending += 1;
@@ -1025,7 +1018,6 @@ impl EventLoop<'_> {
 
     /// Handles one complete, admitted frame.
     fn handle_frame(&mut self, conn: &mut Conn, acc: Accepted, payload: Vec<u8>) {
-        let v1 = acc.header.version == PROTOCOL_V1;
         let id = acc.header.request_id;
         let request = match Request::decode(acc.header.kind, &payload) {
             Ok(r) => r,
@@ -1033,7 +1025,7 @@ impl EventLoop<'_> {
                 if acc.counted {
                     self.finish_request(conn, id);
                 }
-                self.queue_response(conn, v1, id, malformed_response(e.to_string()), true);
+                self.queue_response(conn, id, malformed_response(e.to_string()), true);
                 return;
             }
         };
@@ -1041,7 +1033,7 @@ impl EventLoop<'_> {
         match request {
             Request::Shutdown => {
                 self.finish_request(conn, id);
-                self.queue_response(conn, v1, id, Response::ShutdownAck, true);
+                self.queue_response(conn, id, Response::ShutdownAck, true);
                 self.draining = true;
                 self.listener = None;
                 // Requests whose bytes had already started arriving
@@ -1062,10 +1054,10 @@ impl EventLoop<'_> {
                 }
             }
             Request::CompressStreamBegin(meta) => {
-                self.open_stream(conn, acc, v1, id, Some(meta));
+                self.open_stream(conn, acc, id, Some(meta));
             }
             Request::DecompressStreamBegin => {
-                self.open_stream(conn, acc, v1, id, None);
+                self.open_stream(conn, acc, id, None);
             }
             Request::StreamChunk { bytes } => self.stream_chunk(conn, id, bytes),
             Request::StreamEnd => self.stream_end(conn, id),
@@ -1073,7 +1065,6 @@ impl EventLoop<'_> {
                 self.shared.dispatch(Job {
                     conn: self.processing_id,
                     request_id: id,
-                    v1,
                     accepted: acc.at,
                     work: Work::Unary(request),
                 });
@@ -1085,29 +1076,15 @@ impl EventLoop<'_> {
         &mut self,
         conn: &mut Conn,
         acc: Accepted,
-        v1: bool,
         id: u64,
         meta: Option<CompressStreamMeta>,
     ) {
-        if v1 {
-            self.finish_request(conn, id);
-            self.queue_response(
-                conn,
-                v1,
-                id,
-                malformed_response("streaming requires v2 framing".to_owned()),
-                true,
-            );
-            conn.close_after_flush = true;
-            return;
-        }
         let mut bounds = Vec::new();
         if let Some(meta) = &meta {
             if meta.shape.is_empty() {
                 self.finish_request(conn, id);
                 self.queue_response(
                     conn,
-                    v1,
                     id,
                     malformed_response("stream opens an empty field".to_owned()),
                     true,
@@ -1118,7 +1095,6 @@ impl EventLoop<'_> {
                 self.finish_request(conn, id);
                 self.queue_response(
                     conn,
-                    v1,
                     id,
                     malformed_response("stream field size overflows".to_owned()),
                     true,
@@ -1134,7 +1110,7 @@ impl EventLoop<'_> {
                         self.config.max_payload
                     ),
                 };
-                self.queue_response(conn, v1, id, response, true);
+                self.queue_response(conn, id, response, true);
                 return;
             }
             let requested = if meta.chunks == 0 {
@@ -1182,7 +1158,6 @@ impl EventLoop<'_> {
         let Some(st) = conn.streams.get_mut(&id) else {
             self.queue_response(
                 conn,
-                false,
                 id,
                 malformed_response(format!("chunk for unknown stream id {id}")),
                 true,
@@ -1229,7 +1204,6 @@ impl EventLoop<'_> {
         let Some(st) = conn.streams.get_mut(&id) else {
             self.queue_response(
                 conn,
-                false,
                 id,
                 malformed_response(format!("end for unknown stream id {id}")),
                 true,
@@ -1271,7 +1245,6 @@ impl EventLoop<'_> {
                     self.shared.dispatch(Job {
                         conn: self.processing_id,
                         request_id: id,
-                        v1: false,
                         accepted: st.started,
                         work: Work::Unary(request),
                     });
@@ -1287,7 +1260,6 @@ impl EventLoop<'_> {
                 self.shared.dispatch(Job {
                     conn: self.processing_id,
                     request_id: id,
-                    v1: false,
                     accepted: st.started,
                     work: Work::Unary(Request::Decompress { artifact: st.buf }),
                 });
@@ -1314,7 +1286,6 @@ impl EventLoop<'_> {
             self.shared.dispatch(Job {
                 conn: self.processing_id,
                 request_id: id,
-                v1: false,
                 accepted: st.started,
                 work: Work::Slab {
                     index: st.next_slab,
@@ -1365,7 +1336,6 @@ impl EventLoop<'_> {
         self.finish_request(conn, id);
         self.queue_response(
             conn,
-            false,
             id,
             Response::Compressed {
                 report,
@@ -1381,7 +1351,7 @@ impl EventLoop<'_> {
         if conn.streams.remove(&id).is_some() {
             self.finish_request(conn, id);
             conn.aborted.insert(id);
-            self.queue_response(conn, false, id, response, true);
+            self.queue_response(conn, id, response, true);
         }
     }
 
@@ -1417,7 +1387,7 @@ impl EventLoop<'_> {
                         response
                     };
                     self.finish_request(&mut conn, item.request_id);
-                    self.queue_response(&mut conn, item.v1, item.request_id, response, true);
+                    self.queue_response(&mut conn, item.request_id, response, true);
                 }
                 DoneResult::Slab {
                     index,
@@ -1466,7 +1436,6 @@ impl EventLoop<'_> {
             if conn.closing.is_none() && !conn.dead {
                 if let Some(acc) = &conn.cur {
                     if now.duration_since(acc.at) > self.config.deadline {
-                        let v1 = acc.header.version == PROTOCOL_V1;
                         let rid = acc.header.request_id;
                         let counted = acc.counted;
                         conn.cur = None;
@@ -1475,7 +1444,6 @@ impl EventLoop<'_> {
                         }
                         self.queue_response(
                             &mut conn,
-                            v1,
                             rid,
                             timeout_response("deadline elapsed while reading the request payload"),
                             true,
@@ -1489,7 +1457,6 @@ impl EventLoop<'_> {
                 {
                     self.queue_response(
                         &mut conn,
-                        true,
                         0,
                         timeout_response("deadline elapsed while reading the frame header"),
                         true,
@@ -1576,22 +1543,14 @@ impl EventLoop<'_> {
     fn queue_response(
         &mut self,
         conn: &mut Conn,
-        v1: bool,
         request_id: u64,
         response: Response,
         count_served: bool,
     ) {
-        let frame = if v1 {
-            response.to_frame()
-        } else {
-            response.to_frame_v2(request_id)
-        };
-        conn.out.extend_from_slice(&frame);
+        conn.out
+            .extend_from_slice(&response.to_frame_v2(request_id));
         if count_served {
             self.served += 1;
-        }
-        if v1 {
-            conn.close_after_flush = true;
         }
     }
 
@@ -1643,8 +1602,8 @@ fn samples_of(bytes: &[u8]) -> Vec<f64> {
 }
 
 /// Answers a connection the acceptor refuses to register (beyond
-/// `max_connections`) with a v1 `Busy` frame, then closes it without
-/// risking an RST.
+/// `max_connections`) with a `Busy` frame under the connection-level
+/// request id `0`, then closes it without risking an RST.
 fn reject_connection(mut stream: TcpStream, config: &ServerConfig) {
     // Some platforms hand accepted sockets the listener's non-blocking
     // flag; request plain blocking I/O with timeouts.
@@ -1655,7 +1614,7 @@ fn reject_connection(mut stream: TcpStream, config: &ServerConfig) {
         message: format!("server at max connections ({})", config.max_connections),
     };
     // lint:allow(blocking-in-event-loop): best-effort Busy reply on a socket being closed; bounded by the 1s write timeout above
-    let _ = stream.write_all(&response.to_frame());
+    let _ = stream.write_all(&response.to_frame_v2(0));
     let _ = stream.shutdown(NetShutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut sink = [0u8; 4096];

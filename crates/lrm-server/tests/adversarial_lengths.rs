@@ -5,7 +5,6 @@
 //! frames, never sized into an allocation, and must leave the server
 //! serving. The static side of the same contract is `lrm-lint`'s
 //! `wire-alloc-unclamped` pack over `protocol.rs`/`chunked.rs`.
-#![allow(deprecated)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -13,10 +12,11 @@ use std::time::Duration;
 
 use lrm_core::{LossyCodec, ReducedModelKind};
 use lrm_server::protocol::{
-    REQ_COMPRESS, REQ_COMPRESS_STREAM_BEGIN, REQ_PING, RESP_ERR_MALFORMED, RESP_ERR_TOO_LARGE,
+    HEADER_V2_LEN, REQ_COMPRESS, REQ_COMPRESS_STREAM_BEGIN, REQ_PING, RESP_ERR_MALFORMED,
+    RESP_ERR_TOO_LARGE,
 };
 use lrm_server::{
-    Client, ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Server,
+    ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Server,
     ServerConfig, ServerErrorKind, ServerStats, Shape,
 };
 
@@ -42,7 +42,7 @@ fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Option<u8> {
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).ok()?;
     let header = Frame::parse_header(&reply).ok()?;
-    let total = header.header_len() + usize::try_from(header.payload_len).ok()?;
+    let total = HEADER_V2_LEN + usize::try_from(header.payload_len).ok()?;
     Frame::from_bytes(reply.get(..total)?).ok().map(|f| f.kind)
 }
 
@@ -73,23 +73,18 @@ fn declared_u64_max_payload_length_gets_typed_too_large() {
         ..ServerConfig::default()
     });
 
-    // A v1 header claiming a u64::MAX payload: the length check must
+    // A header claiming a u64::MAX payload: the length check must
     // answer TooLarge from the header alone — nothing is allocated or
     // read for a payload that will never arrive.
-    let mut v1 = Frame::encode(REQ_PING, &[]);
-    v1[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(send_raw(addr, &v1), Some(RESP_ERR_TOO_LARGE));
-
-    // The same attack under a v2 (pipelined) header.
-    let mut v2 = Frame::encode_v2(REQ_PING, 0xDEAD_BEEF, &[]);
-    v2[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(send_raw(addr, &v2), Some(RESP_ERR_TOO_LARGE));
+    let mut frame = Frame::encode_v2(REQ_PING, 0xDEAD_BEEF, &[]);
+    frame[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_TOO_LARGE));
 
     // The server is still serving normal requests afterwards.
-    let client = Client::new(addr).expect("client");
-    assert_eq!(client.ping(b"alive").expect("ping"), b"alive");
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
 
-    client.shutdown().expect("shutdown");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -112,12 +107,12 @@ fn overflowing_shape_in_compress_gets_typed_malformed() {
     // payload decoder must reject it locally too.
     assert!(Request::decode(REQ_COMPRESS, &payload).is_err());
 
-    let frame = Frame::encode(REQ_COMPRESS, &payload);
+    let frame = Frame::encode_v2(REQ_COMPRESS, 1, &payload);
     assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_MALFORMED));
 
-    let client = Client::new(addr).expect("client");
-    assert_eq!(client.ping(b"alive").expect("ping"), b"alive");
-    client.shutdown().expect("shutdown");
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -128,7 +123,7 @@ fn stream_begin_with_overflowing_shape_gets_typed_malformed() {
         ..ServerConfig::default()
     });
 
-    // The v2 streaming path decodes the same shape layout; a hostile
+    // The streaming path decodes the same shape layout; a hostile
     // stream-begin must die typed before any chunk buffer exists.
     let mut payload = Request::CompressStreamBegin(CompressStreamMeta {
         model: ReducedModelKind::OneBase,
@@ -148,9 +143,9 @@ fn stream_begin_with_overflowing_shape_gets_typed_malformed() {
     let frame = Frame::encode_v2(REQ_COMPRESS_STREAM_BEGIN, 41, &payload);
     assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_MALFORMED));
 
-    let client = Client::new(addr).expect("client");
-    assert_eq!(client.ping(b"alive").expect("ping"), b"alive");
-    client.shutdown().expect("shutdown");
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -173,8 +168,8 @@ fn u32_max_chunk_count_artifact_gets_typed_malformed() {
     }
     artifact.extend_from_slice(&u32::MAX.to_le_bytes()); // chunk count
 
-    let client = Client::new(addr).expect("client");
-    match client.decompress(&artifact) {
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.decompress(&artifact) {
         Err(ClientError::Server {
             kind: ServerErrorKind::Malformed,
             ..
@@ -182,8 +177,8 @@ fn u32_max_chunk_count_artifact_gets_typed_malformed() {
         other => panic!("expected Malformed frame, got {other:?}"),
     }
 
-    assert_eq!(client.ping(b"alive").expect("ping"), b"alive");
-    client.shutdown().expect("shutdown");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -195,7 +190,7 @@ fn streamed_chunks_beyond_max_payload_get_typed_too_large() {
         ..ServerConfig::default()
     });
 
-    // Under v2 streaming the per-frame length check still applies: a
+    // Under streaming the per-frame length check still applies: a
     // chunk frame declaring more than max_payload is refused from its
     // header, so a stream cannot smuggle in an oversized buffer.
     let id = 9u64;
@@ -219,9 +214,9 @@ fn streamed_chunks_beyond_max_payload_get_typed_too_large() {
     );
     assert_eq!(send_raw(addr, &bytes), Some(RESP_ERR_TOO_LARGE));
 
-    let client = Client::new(addr).expect("client");
-    assert_eq!(client.ping(b"alive").expect("ping"), b"alive");
-    client.shutdown().expect("shutdown");
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 

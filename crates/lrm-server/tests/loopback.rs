@@ -6,11 +6,6 @@
 //! exceeded (not a hang or a drop), a `Timeout` frame when the deadline
 //! elapses mid-request, a `TooLarge` frame for oversized payloads, and
 //! shutdown draining in-flight requests before `serve()` returns.
-//!
-//! The PR 5 era tests deliberately keep driving the deprecated
-//! connect-per-request `Client` shim: they double as the backwards
-//! compatibility suite for it, alongside the raw v1-frame test.
-#![allow(deprecated)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,10 +13,12 @@ use std::time::Duration;
 
 use lrm_core::{LossyCodec, PipelineConfig, ReducedModelKind};
 use lrm_datasets::{generate, DatasetKind, SizeClass};
-use lrm_server::protocol::{RESP_COMPRESSED, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG};
+use lrm_server::protocol::{
+    HEADER_V2_LEN, REQ_PING, RESP_COMPRESSED, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG,
+};
 use lrm_server::{
-    Client, ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Response,
-    SelectRequest, Server, ServerConfig, ServerErrorKind, ServerStats, PROTOCOL_V1, PROTOCOL_V2,
+    ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Response,
+    SelectRequest, Server, ServerConfig, ServerErrorKind, ServerStats,
 };
 
 fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServerStats>) {
@@ -51,7 +48,7 @@ fn slow_ping(addr: SocketAddr, hold: Duration) -> Option<u8> {
     let frame = Request::Ping {
         echo: vec![0xAB; 64],
     }
-    .to_frame();
+    .to_frame_v2(1);
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -62,15 +59,22 @@ fn slow_ping(addr: SocketAddr, hold: Duration) -> Option<u8> {
     // Best-effort: when the hold outlives the server's deadline the
     // server has already replied and closed, and this write may fail.
     let _ = stream.write_all(&frame[split..]);
-    read_response_kind(&mut stream)
+    read_frame(&mut stream).map(|f| f.kind)
 }
 
-/// Reads whatever single response frame the server sends and returns
-/// its kind byte.
-fn read_response_kind(stream: &mut TcpStream) -> Option<u8> {
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).ok()?;
-    Frame::from_bytes(&bytes).ok().map(|f| f.kind)
+/// Reads exactly one response frame: the header, then `payload_len`
+/// bytes.
+fn read_frame(stream: &mut TcpStream) -> Option<Frame> {
+    let mut head = [0u8; HEADER_V2_LEN];
+    stream.read_exact(&mut head).ok()?;
+    let header = Frame::parse_header(&head).ok()?;
+    let mut payload = vec![0u8; usize::try_from(header.payload_len).ok()?];
+    stream.read_exact(&mut payload).ok()?;
+    Some(Frame {
+        kind: header.kind,
+        request_id: header.request_id,
+        payload,
+    })
 }
 
 #[test]
@@ -95,14 +99,14 @@ fn concurrent_clients_roundtrip_within_bound() {
     std::thread::scope(|s| {
         for (field, model) in &jobs {
             s.spawn(move || {
-                let client = Client::new(addr).expect("client");
-                let (report, artifact) = client
+                let mut conn = Connection::open(addr).expect("open");
+                let (report, artifact) = conn
                     .compress(compress_request(field, *model))
                     .expect("compress");
                 assert_eq!(report.raw_bytes as usize, field.len() * 8);
                 assert!(report.ratio() > 1.0, "{}: no compression", field.name);
 
-                let (shape, data) = client.decompress(&artifact).expect("decompress");
+                let (shape, data) = conn.decompress(&artifact).expect("decompress");
                 assert_eq!(shape, field.shape);
                 assert_eq!(data.len(), field.len());
                 // Dual-bound SZ: rep at rel 1e-5, delta at rel 1e-3 of
@@ -125,8 +129,8 @@ fn concurrent_clients_roundtrip_within_bound() {
         }
     });
 
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    let mut conn = Connection::open(addr).expect("open");
+    conn.shutdown().expect("shutdown");
     let stats = handle.join().expect("join");
     // 6 compress + 6 decompress + 1 shutdown.
     assert_eq!(stats.served, 13);
@@ -140,9 +144,9 @@ fn stats_and_selection_are_served() {
         ..ServerConfig::default()
     });
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
-    let client = Client::new(addr).expect("client");
+    let mut conn = Connection::open(addr).expect("open");
 
-    let stats = client.field_stats(field.shape, &field.data).expect("stats");
+    let stats = conn.field_stats(field.shape, &field.data).expect("stats");
     assert_eq!(stats.count as usize, field.len());
     let (lo, hi) = field.min_max();
     assert_eq!(stats.min, lo);
@@ -150,7 +154,7 @@ fn stats_and_selection_are_served() {
     assert!(stats.byte_entropy > 0.0 && stats.byte_entropy <= 8.0);
 
     let (orig, delta) = lrm_core::sz_paper_bounds();
-    let reply = client
+    let reply = conn
         .select_model(SelectRequest {
             exhaustive: false,
             orig,
@@ -177,7 +181,7 @@ fn stats_and_selection_are_served() {
     assert_eq!(reply.winner, local.winner);
     assert_eq!(reply.sampled, local.sampled);
 
-    client.shutdown().expect("shutdown");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -195,8 +199,8 @@ fn over_inflight_request_gets_typed_busy_frame() {
     std::thread::sleep(Duration::from_millis(300));
 
     // The next request must be refused with Busy — not hang, not drop.
-    let client = Client::new(addr).expect("client");
-    match client.ping(b"over capacity") {
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.ping(b"over capacity") {
         Err(ClientError::Server {
             kind: ServerErrorKind::Busy,
             ..
@@ -210,7 +214,7 @@ fn over_inflight_request_gets_typed_busy_frame() {
     // Wait for the slot to free, then shut down.
     let mut acked = false;
     for _ in 0..100 {
-        if client.shutdown().is_ok() {
+        if conn.shutdown().is_ok() {
             acked = true;
             break;
         }
@@ -236,8 +240,8 @@ fn shutdown_drains_inflight_requests() {
     std::thread::sleep(Duration::from_millis(300));
 
     // ...while worker 2 acks a shutdown request.
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown ack");
+    let mut conn = Connection::open(addr).expect("open");
+    conn.shutdown().expect("shutdown ack");
 
     // The in-flight ping must still be answered before serve() returns.
     assert_eq!(holder.join().expect("holder"), Some(RESP_PONG));
@@ -258,8 +262,8 @@ fn deadline_overrun_gets_typed_timeout_frame() {
     let kind = slow_ping(addr, Duration::from_millis(1200));
     assert_eq!(kind, Some(RESP_ERR_TIMEOUT));
 
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    let mut conn = Connection::open(addr).expect("open");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -271,8 +275,8 @@ fn oversized_payload_gets_typed_too_large_frame() {
         ..ServerConfig::default()
     });
 
-    let client = Client::new(addr).expect("client");
-    match client.ping(&vec![7u8; 4096]) {
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.ping(&vec![7u8; 4096]) {
         Err(ClientError::Server {
             kind: ServerErrorKind::TooLarge,
             ..
@@ -280,9 +284,9 @@ fn oversized_payload_gets_typed_too_large_frame() {
         other => panic!("expected TooLarge frame, got {other:?}"),
     }
     // A small request still succeeds afterwards.
-    assert_eq!(client.ping(b"ok").expect("ping"), b"ok");
+    assert_eq!(conn.ping(b"ok").expect("ping"), b"ok");
 
-    client.shutdown().expect("shutdown");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -293,22 +297,39 @@ fn hostile_bytes_get_typed_malformed_frame() {
         ..ServerConfig::default()
     });
 
-    // Garbage that is not even a frame header.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write");
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-    assert_eq!(read_response_kind(&mut stream), Some(RESP_ERR_MALFORMED));
+    // Bytes that cannot open a frame — garbage that is not even a frame
+    // header, and a 16-byte header of the retired version 1 (an empty
+    // ping) — draw one Malformed frame under the connection-level id 0,
+    // then a close.
+    let mut v1_ping = b"LRMP".to_vec();
+    v1_ping.extend_from_slice(&1u16.to_le_bytes());
+    v1_ping.extend_from_slice(&[REQ_PING, 0]);
+    v1_ping.extend_from_slice(&0u64.to_le_bytes());
+    for hostile in [b"GET / HTTP/1.1\r\n\r\n".to_vec(), v1_ping] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        stream.write_all(&hostile).expect("write");
+        let frame = read_frame(&mut stream).expect("one reply frame");
+        assert_eq!(frame.kind, RESP_ERR_MALFORMED);
+        assert_eq!(frame.request_id, 0);
+        assert_eq!(stream.read(&mut [0u8; 1]).expect("read close"), 0);
+    }
 
-    // A well-framed payload that fails request decoding (bad codec tag).
+    // A well-framed payload that fails request decoding (bad codec tag)
+    // is answered under its own request id.
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let frame = Frame::encode(0x01, &[0xFF; 40]);
+    let frame = Frame::encode_v2(0x01, 5, &[0xFF; 40]);
     stream.write_all(&frame).expect("write");
-    assert_eq!(read_response_kind(&mut stream), Some(RESP_ERR_MALFORMED));
+    let frame = read_frame(&mut stream).expect("one reply frame");
+    assert_eq!(frame.kind, RESP_ERR_MALFORMED);
+    assert_eq!(frame.request_id, 5);
 
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    // The server still serves a well-behaved session.
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -366,50 +387,6 @@ fn pipelined_responses_match_request_ids_out_of_order() {
 }
 
 #[test]
-fn v1_frames_still_roundtrip_on_v2_server() {
-    let (addr, handle) = start(ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    });
-
-    // A legacy v1 client: 16-byte headers, no request id, one request
-    // per connection. The v2 server must answer with a v1 frame and
-    // close after the response.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let ping = Request::Ping {
-        echo: b"legacy".to_vec(),
-    };
-    stream.write_all(&ping.to_frame()).expect("write v1 ping");
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read to close");
-    let frame = Frame::from_bytes(&bytes).expect("exactly one v1 frame");
-    assert_eq!(frame.version, PROTOCOL_V1);
-    assert_eq!(frame.request_id, 0);
-    assert_eq!(frame.kind, RESP_PONG);
-    match Response::decode(frame.kind, &frame.payload).expect("decode pong") {
-        Response::Pong { echo } => assert_eq!(echo, b"legacy"),
-        other => panic!("expected Pong, got {other:?}"),
-    }
-
-    // A structured v1 request (compress) round-trips the same way.
-    let field = generate(DatasetKind::Laplace, SizeClass::Tiny).full;
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let req = Request::Compress(compress_request(&field, ReducedModelKind::Direct));
-    stream
-        .write_all(&req.to_frame())
-        .expect("write v1 compress");
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read to close");
-    let frame = Frame::from_bytes(&bytes).expect("exactly one v1 frame");
-    assert_eq!(frame.version, PROTOCOL_V1);
-    assert_eq!(frame.kind, RESP_COMPRESSED);
-
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
-    handle.join().expect("join");
-}
-
-#[test]
 fn shutdown_drains_inflight_streaming_request() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
@@ -451,8 +428,8 @@ fn shutdown_drains_inflight_streaming_request() {
     std::thread::sleep(Duration::from_millis(300));
 
     // ...let a shutdown land mid-stream...
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown ack");
+    let mut conn = Connection::open(addr).expect("open");
+    conn.shutdown().expect("shutdown ack");
 
     // ...then finish the upload. The drain must keep accepting the
     // stream's remaining frames and answer before serve() returns.
@@ -469,8 +446,7 @@ fn shutdown_drains_inflight_streaming_request() {
         .expect("end");
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).expect("read to close");
-    let frame = Frame::from_bytes(&reply).expect("one v2 response frame");
-    assert_eq!(frame.version, PROTOCOL_V2);
+    let frame = Frame::from_bytes(&reply).expect("one response frame");
     assert_eq!(frame.request_id, id);
     assert_eq!(frame.kind, RESP_COMPRESSED);
 
@@ -570,4 +546,36 @@ fn pipeline_depth_overrun_gets_busy_and_connection_survives() {
     let stats = handle.join().expect("join");
     assert!(stats.rejected_busy >= 1);
     assert_eq!(stats.connections, 1);
+}
+
+#[test]
+fn connection_beyond_max_connections_gets_busy_and_first_survives() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+
+    // The first session is registered once it has been answered.
+    let mut first = Connection::open(addr).expect("open first");
+    assert_eq!(first.ping(b"first").expect("ping"), b"first");
+
+    // The second is refused at accept time, before the server knows any
+    // request id: its Busy frame travels under id 0 and must still land
+    // on the request being waited on.
+    let refused = Connection::open(addr).expect("open second").ping(b"second");
+    match refused {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Busy,
+            ..
+        }) => {}
+        other => panic!("expected Busy frame, got {other:?}"),
+    }
+
+    // The registered session is unaffected.
+    assert_eq!(first.ping(b"again").expect("ping"), b"again");
+    first.shutdown().expect("shutdown");
+    let stats = handle.join().expect("join");
+    assert_eq!(stats.rejected_busy, 1);
+    assert_eq!(stats.connections, 2);
 }

@@ -24,8 +24,6 @@ pub use lrm_wavelet as wavelet;
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
     pub use lrm_compress::{Codec, CompressorKind, Fpc, Sz, Zfp};
-    #[allow(deprecated)]
-    pub use lrm_core::{precondition_and_compress, reconstruct};
     pub use lrm_core::{
         LossyCodec, Pipeline, PipelineBuilder, PipelineConfig, PreconditionedArtifact,
         ReducedModelKind,

@@ -2,12 +2,8 @@
 //! identical to the serial computation, and the staged pipeline must
 //! produce the same artifacts as inline compression.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
 use lrm::core::parallel_one_base::distributed_one_base;
-use lrm::core::{precondition_and_compress, PipelineConfig, ReducedModelKind};
+use lrm::core::{Pipeline, PipelineConfig, ReducedModelKind};
 use lrm::datasets::{generate, DatasetKind, Field, SizeClass};
 use lrm::io::StagingPipeline;
 
@@ -46,11 +42,11 @@ fn staged_compression_equals_inline_compression() {
     let shape = field.shape;
     let cfg = PipelineConfig::sz(ReducedModelKind::OneBase);
 
-    let inline = precondition_and_compress(&field, &cfg);
+    let inline = Pipeline::from_config(cfg).compress(&field);
 
     let staging = StagingPipeline::start(2, move |name, data| {
         let f = Field::new(name.to_string(), data.to_vec(), shape);
-        precondition_and_compress(&f, &cfg).bytes
+        Pipeline::from_config(cfg).compress(&f).bytes
     });
     staging.submit("snap", field.data.clone());
     let results = staging.finish();
@@ -66,7 +62,7 @@ fn staging_handles_many_snapshots_under_load() {
     let cfg = PipelineConfig::sz(ReducedModelKind::Direct);
     let staging = StagingPipeline::start(4, move |name, data| {
         let f = Field::new(name.to_string(), data.to_vec(), shape);
-        precondition_and_compress(&f, &cfg).bytes
+        Pipeline::from_config(cfg).compress(&f).bytes
     });
     for i in 0..32 {
         staging.submit(format!("s{i}"), field.data.clone());

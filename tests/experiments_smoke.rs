@@ -1,8 +1,8 @@
 //! Integration smoke test: every experiment driver that regenerates a
 //! paper table or figure runs end to end at Tiny scale and produces
 //! structurally sane output. (Quantitative shape assertions live in the
-//! drivers' own unit tests; paper-vs-measured numbers are recorded by the
-//! bench harness into EXPERIMENTS.md.)
+//! drivers' own unit tests; paper-vs-measured numbers from `lrm-cli` runs
+//! are recorded in EXPERIMENTS.md.)
 
 use lrm_cli::experiments::*;
 use lrm_datasets::SizeClass;
@@ -49,4 +49,20 @@ fn fig12_and_table4() {
     assert_eq!(measured.len(), 6);
     let demo = end_to_end::staging_demo(SizeClass::Tiny, 2);
     assert_eq!(demo.snapshots, 2);
+}
+
+#[test]
+fn table3_and_extension_ablations() {
+    let scaling = ablation::table3(SizeClass::Tiny);
+    assert_eq!(scaling.len(), 3);
+    assert!(scaling.iter().all(|r| r.pca_s > 0.0 && r.svd_s > 0.0));
+    let partitioned = ablation::partitioned(SizeClass::Tiny);
+    // Two datasets x (2 methods x 5 block counts + the randomized sketch).
+    assert_eq!(partitioned.len(), 22);
+    assert!(partitioned
+        .iter()
+        .all(|r| r.ratio.is_finite() && r.ratio > 0.0));
+    let wavelet = ablation::wavelet3d(SizeClass::Tiny);
+    assert_eq!(wavelet.len(), 4);
+    assert!(wavelet.iter().all(|r| r.nnz_2d > 0 && r.nnz_3d > 0));
 }

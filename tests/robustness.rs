@@ -1,12 +1,7 @@
 //! Robustness integration tests: corrupt inputs, adversarial fields, and
 //! failure-injection around the pipeline's parsing layers.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
-use lrm::core::Pipeline;
-use lrm::core::{precondition_and_compress, reconstruct, PipelineConfig, ReducedModelKind};
+use lrm::core::{Pipeline, PipelineConfig, ReducedModelKind};
 use lrm::datasets::Field;
 use lrm::io::Artifact;
 use lrm_compress::Shape;
@@ -21,27 +16,22 @@ fn sample_field() -> Field {
 
 #[test]
 fn reconstruct_rejects_corrupt_magic() {
-    let art = precondition_and_compress(
-        &sample_field(),
-        &PipelineConfig::sz(ReducedModelKind::OneBase),
-    );
+    let art = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase))
+        .compress(&sample_field());
     let mut bytes = art.bytes.clone();
     bytes[0] ^= 0xFF;
-    // The modern API reports corruption as a typed error...
+    // Corruption is reported as a typed error.
     let p = Pipeline::builder().build();
     assert!(
         p.reconstruct(&bytes).is_err(),
         "corrupt magic must not decode silently"
     );
-    // ...while the deprecated shim keeps its documented panic contract.
-    let r = std::panic::catch_unwind(|| reconstruct(&bytes));
-    assert!(r.is_err(), "deprecated shim must keep panicking");
 }
 
 #[test]
 fn reconstruct_rejects_truncated_artifacts() {
     let art =
-        precondition_and_compress(&sample_field(), &PipelineConfig::sz(ReducedModelKind::Pca));
+        Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Pca)).compress(&sample_field());
     let p = Pipeline::builder().build();
     // Every strict prefix of the stream must decode to Err, never panic.
     for cut in 0..art.bytes.len() {
@@ -56,7 +46,7 @@ fn reconstruct_rejects_truncated_artifacts() {
 fn artifact_sections_are_inspectable_without_reconstruction() {
     // A storage layer can account sizes without touching codec state.
     let art =
-        precondition_and_compress(&sample_field(), &PipelineConfig::zfp(ReducedModelKind::Svd));
+        Pipeline::from_config(PipelineConfig::zfp(ReducedModelKind::Svd)).compress(&sample_field());
     let parsed = Artifact::from_bytes(&art.bytes).expect("parse");
     let rep = parsed.get("rep").expect("rep").len();
     let delta = parsed.get("delta").expect("delta").len();
@@ -97,8 +87,9 @@ fn adversarial_fields_roundtrip() {
             PipelineConfig::sz(ReducedModelKind::OneBase),
             PipelineConfig::sz(ReducedModelKind::Pca),
         ] {
-            let art = precondition_and_compress(&f, &cfg);
-            let (rec, _) = reconstruct(&art.bytes);
+            let pipeline = Pipeline::from_config(cfg);
+            let art = pipeline.compress(&f);
+            let (rec, _) = pipeline.reconstruct(&art.bytes).expect("valid artifact");
             assert_eq!(rec.len(), f.len(), "{name}/{:?}", cfg.model);
             let max = f.data.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
             for (a, b) in f.data.iter().zip(&rec) {
@@ -120,8 +111,9 @@ fn empty_and_single_point_fields() {
         PipelineConfig::sz(ReducedModelKind::Pca),
         PipelineConfig::sz(ReducedModelKind::Wavelet),
     ] {
-        let art = precondition_and_compress(&one, &cfg);
-        let (rec, _) = reconstruct(&art.bytes);
+        let pipeline = Pipeline::from_config(cfg);
+        let art = pipeline.compress(&one);
+        let (rec, _) = pipeline.reconstruct(&art.bytes).expect("valid artifact");
         assert_eq!(rec.len(), 1);
         assert!((rec[0] - 5.5).abs() < 1e-3, "{:?}: {}", cfg.model, rec[0]);
     }
@@ -134,8 +126,9 @@ fn nan_inputs_do_not_poison_neighbors() {
     data[20] = f64::NAN;
     let f = Field::new("nan", data.clone(), shape);
     let cfg = PipelineConfig::sz(ReducedModelKind::Direct);
-    let art = precondition_and_compress(&f, &cfg);
-    let (rec, _) = reconstruct(&art.bytes);
+    let pipeline = Pipeline::from_config(cfg);
+    let art = pipeline.compress(&f);
+    let (rec, _) = pipeline.reconstruct(&art.bytes).expect("valid artifact");
     for (i, (a, b)) in data.iter().zip(&rec).enumerate() {
         if i == 20 {
             continue; // the NaN cell itself may decode as NaN or 0
